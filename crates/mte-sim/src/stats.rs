@@ -1,6 +1,48 @@
 //! Operation counters for experiments and tests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Counter shards per [`MteStats`]. Threads are assigned round-robin,
+/// so up to this many concurrent threads never share a cache line.
+const SHARDS: usize = 16;
+
+/// Next shard to hand out; only spreads threads, so its value never
+/// reaches a count or a decision.
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's shard index, assigned on its first count.
+    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+#[inline]
+fn shard_index() -> usize {
+    SHARD.with(|s| {
+        let i = s.get();
+        if i != usize::MAX {
+            return i;
+        }
+        let i = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+        s.set(i);
+        i
+    })
+}
+
+/// One thread group's counters, padded to two cache lines so adjacent
+/// shards never share one (nor an adjacent-line prefetch pair).
+#[derive(Default)]
+#[repr(align(128))]
+struct Shard {
+    loads: AtomicU64,
+    stores: AtomicU64,
+    sync_faults: AtomicU64,
+    async_faults: AtomicU64,
+    irg_ops: AtomicU64,
+    ldg_ops: AtomicU64,
+    stg_ops: AtomicU64,
+}
 
 /// Monotonic counters maintained by [`TaggedMemory`].
 ///
@@ -13,57 +55,68 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// kernels (DESIGN.md §10) and the scalar reference report identical
 /// deltas — the differential suite asserts exactly that.
 ///
+/// Each thread counts into its own cache-line-aligned shard, so threads
+/// tagging different objects never contend on a counter;
+/// [`MteStats::snapshot`] sums the shards.
+///
 /// [`TaggedMemory`]: crate::TaggedMemory
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct MteStats {
-    loads: AtomicU64,
-    stores: AtomicU64,
-    sync_faults: AtomicU64,
-    async_faults: AtomicU64,
-    irg_ops: AtomicU64,
-    ldg_ops: AtomicU64,
-    stg_ops: AtomicU64,
+    shards: [Shard; SHARDS],
 }
 
 impl MteStats {
     #[inline]
+    fn shard(&self) -> &Shard {
+        &self.shards[shard_index()]
+    }
+    #[inline]
     pub(crate) fn count_load(&self) {
-        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.shard().loads.fetch_add(1, Ordering::Relaxed);
     }
     #[inline]
     pub(crate) fn count_store(&self) {
-        self.stores.fetch_add(1, Ordering::Relaxed);
+        self.shard().stores.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn count_sync_fault(&self) {
-        self.sync_faults.fetch_add(1, Ordering::Relaxed);
+        self.shard().sync_faults.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn count_async_fault(&self) {
-        self.async_faults.fetch_add(1, Ordering::Relaxed);
+        self.shard().async_faults.fetch_add(1, Ordering::Relaxed);
     }
     #[inline]
     pub(crate) fn count_irg(&self) {
-        self.irg_ops.fetch_add(1, Ordering::Relaxed);
+        self.shard().irg_ops.fetch_add(1, Ordering::Relaxed);
     }
     #[inline]
     pub(crate) fn count_ldg(&self) {
-        self.ldg_ops.fetch_add(1, Ordering::Relaxed);
+        self.shard().ldg_ops.fetch_add(1, Ordering::Relaxed);
     }
     #[inline]
     pub(crate) fn count_stg(&self, granules: u64) {
-        self.stg_ops.fetch_add(granules, Ordering::Relaxed);
+        self.shard().stg_ops.fetch_add(granules, Ordering::Relaxed);
     }
 
-    /// Takes a consistent-enough snapshot of all counters.
+    /// Takes a consistent-enough snapshot of all counters: the sum over
+    /// every thread's shard.
     pub fn snapshot(&self) -> MteStatsSnapshot {
-        MteStatsSnapshot {
-            loads: self.loads.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            sync_faults: self.sync_faults.load(Ordering::Relaxed),
-            async_faults: self.async_faults.load(Ordering::Relaxed),
-            irg_ops: self.irg_ops.load(Ordering::Relaxed),
-            ldg_ops: self.ldg_ops.load(Ordering::Relaxed),
-            stg_ops: self.stg_ops.load(Ordering::Relaxed),
+        let mut s = MteStatsSnapshot::default();
+        for shard in &self.shards {
+            s.loads += shard.loads.load(Ordering::Relaxed);
+            s.stores += shard.stores.load(Ordering::Relaxed);
+            s.sync_faults += shard.sync_faults.load(Ordering::Relaxed);
+            s.async_faults += shard.async_faults.load(Ordering::Relaxed);
+            s.irg_ops += shard.irg_ops.load(Ordering::Relaxed);
+            s.ldg_ops += shard.ldg_ops.load(Ordering::Relaxed);
+            s.stg_ops += shard.stg_ops.load(Ordering::Relaxed);
         }
+        s
+    }
+}
+
+impl fmt::Debug for MteStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("MteStats").field(&self.snapshot()).finish()
     }
 }
 
@@ -131,6 +184,22 @@ mod tests {
         assert_eq!(snap.irg_ops, 1);
         assert_eq!(snap.ldg_ops, 1);
         assert_eq!(snap.stg_ops, 4);
+    }
+
+    #[test]
+    fn snapshot_sums_every_thread_shard() {
+        let stats = MteStats::default();
+        std::thread::scope(|s| {
+            for _ in 0..2 * SHARDS {
+                s.spawn(|| {
+                    stats.count_irg();
+                    stats.count_stg(3);
+                });
+            }
+        });
+        let snap = stats.snapshot();
+        assert_eq!(snap.irg_ops, 2 * SHARDS as u64);
+        assert_eq!(snap.stg_ops, 6 * SHARDS as u64);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Satellite regression: evicting a tenant with a live
 //! `GetPrimitiveArrayCritical` borrow must force-release the borrow
 //! through the pin-ledger funnel before the heap drops, keeping the
-//! three-term conservation law and the pin books balanced.
+//! two-term conservation law and the pin books balanced.
 
 use server::{funnel_conservation_violation, Tenant, TenantConfig, TenantScheme};
 
@@ -24,13 +24,13 @@ fn evicting_a_tenant_with_a_live_critical_borrow_balances_the_funnel() {
     drop(env);
 
     // Pin books balanced, no stale table entries, no leaked shadows.
-    // (`quiesce` sweeps first, so force-released credits parked in the
-    // thread-local stash are purged before the books are read.)
+    // (`quiesce` sweeps first, so entries a fault abandoned are purged
+    // before the books are read.)
     let violations = tenant.quiesce();
     assert!(violations.is_empty(), "teardown leaked: {violations:?}");
 
-    // Three-term conservation: acquires - shared == typed frees +
-    // stash-flush frees + safepoint purges.
+    // Two-term conservation: acquires - shared == typed frees +
+    // safepoint purges.
     let scheme = tenant.scheme().expect("mte tenant");
     assert_eq!(funnel_conservation_violation(scheme), None);
     let hs = tenant.vm().heap().stats();

@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
+use mte4jni::{AtomicEntryTable, TagTable};
 use mte_sim::inject::FaultPlan;
+use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr};
 use stress::harness::{
     run_containment_schedule, run_lifecycle_schedule, run_schedule, SchemeKind, StressConfig,
 };
@@ -156,6 +158,49 @@ fn containment_schedules_replay_bit_for_bit() {
     }
 }
 
+/// Schedules are reproducible whatever else runs in the process: two
+/// concurrent threads each drive an unrelated lock-free table first,
+/// then run the same containment schedule a few times, and every run
+/// must agree bit for bit.
+#[test]
+fn containment_schedule_ignores_earlier_table_work_on_the_thread() {
+    let cfg = StressConfig {
+        fault_plan: mixed_plan(),
+        ..StressConfig::default()
+    };
+    let runs: Vec<Vec<(String, u64)>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2u64)
+            .map(|i| {
+                let cfg = &cfg;
+                s.spawn(move || {
+                    let base = 0x7c00_0000_0000;
+                    let mem = TaggedMemory::new(MemoryConfig { base, size: 1 << 16 });
+                    mem.mprotect_mte(base, 1 << 16, true).unwrap();
+                    let table = AtomicEntryTable::new();
+                    let thread = MteThread::with_seed("unrelated", i);
+                    for k in 0..=i * 3 {
+                        let begin = TaggedPtr::from_addr(base + 0x100 * k);
+                        let borrow = table.acquire(&mem, &thread, begin, begin.addr() + 64).unwrap();
+                        table.release(&mem, borrow).unwrap();
+                    }
+                    (0..4)
+                        .map(|_| {
+                            let r = run_containment_schedule(SchemeKind::LockFree, 0xFACE, cfg);
+                            (render(&r), trace_hash(&r.report.trace))
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let (render0, digest0) = &runs[0][0];
+    for (render, digest) in runs.iter().flatten() {
+        assert_eq!(render, render0, "renders diverged");
+        assert_eq!(digest, digest0, "digests diverged");
+    }
+}
+
 #[test]
 fn containment_schedules_survive_faults_and_observe_degradation() {
     // The containment oracle: every schedule's VM survives its own
@@ -191,9 +236,8 @@ fn containment_schedules_survive_faults_and_observe_degradation() {
 /// shared flags, and identical release outcomes.
 #[test]
 fn lock_free_matches_two_tier_under_the_scheduler() {
-    use mte4jni::{AtomicEntryTable, Release, TableConfig, TagTable, TwoTierTable};
+    use mte4jni::{Release, TwoTierTable};
     use mte_sim::sync::{yield_point, Mutex};
-    use mte_sim::{MemoryConfig, MteThread, TaggedMemory, TaggedPtr};
 
     const BASE: u64 = 0x7a00_0000_0000;
     const OBJECTS: usize = 3;
@@ -208,12 +252,7 @@ fn lock_free_matches_two_tier_under_the_scheduler() {
     for seed in 0..24u64 {
         let mem_a = memory();
         let mem_b = memory();
-        // Stash off: lockstep comparison pins the eager protocol
-        // (a parked `Cached` release has no two-tier counterpart).
-        let a: Arc<dyn TagTable> = Arc::new(AtomicEntryTable::from_config(&TableConfig {
-            borrow_stash: false,
-            ..TableConfig::default()
-        }));
+        let a: Arc<dyn TagTable> = Arc::new(AtomicEntryTable::new());
         let b: Arc<dyn TagTable> = Arc::new(TwoTierTable::new(16));
         let pair_locks: Arc<Vec<Mutex<()>>> =
             Arc::new((0..OBJECTS).map(|_| Mutex::new(())).collect());

@@ -13,11 +13,14 @@
 //! Thread ids are dense per recording session: the first thread to emit
 //! after [`install`] is tid 0, the next tid 1, and so on, which keeps
 //! the ids reproducible for deterministic (single- or seeded-scheduler)
-//! runs.
+//! runs. One session runs at a time: [`install`] waits for the previous
+//! session's [`Installed`] guard to drop, so concurrent recorders (tests
+//! sharing a process) never interleave streams or reset each other's
+//! tid epochs.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Replay/trace outcome codes: a compact, scheme-agnostic classification
 /// of how one traced operation ended. The jni layer maps its error types
@@ -222,6 +225,8 @@ pub trait TraceSink: Send + Sync {
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<Arc<dyn TraceSink>>> = Mutex::new(None);
+/// Held for the whole of one recording session (see [`Installed`]).
+static SESSION: Mutex<()> = Mutex::new(());
 /// Bumped on every install so stale thread-local tids are re-assigned.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
@@ -229,22 +234,67 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 thread_local! {
     /// (epoch, tid) of the calling thread's last assignment.
     static TID: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
+    /// Set while the thread is inside a [`mute`] scope.
+    static MUTED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Installs a recording sink and starts a fresh tid epoch. The previous
-/// sink, if any, is replaced.
-pub fn install(sink: Arc<dyn TraceSink>) {
+/// Keeps the calling thread's events out of the active recording until
+/// dropped (see [`mute`]).
+#[must_use = "dropping the guard unmutes the thread at once"]
+pub struct Muted {
+    was: bool,
+}
+
+impl Drop for Muted {
+    fn drop(&mut self) {
+        MUTED.with(|m| m.set(self.was));
+    }
+}
+
+/// Mutes the calling thread: the sink is process-wide, so work that is
+/// not part of the recorded run (a replay re-driving a trace, say) would
+/// otherwise land in whichever session happens to be installed.
+pub fn mute() -> Muted {
+    Muted { was: MUTED.with(|m| m.replace(true)) }
+}
+
+/// One recording session: the installed sink plus the process-wide
+/// session lock. Dropping it uninstalls the sink, then lets the next
+/// session in.
+#[must_use = "dropping the guard uninstalls the sink at once"]
+pub struct Installed {
+    _session: Option<MutexGuard<'static, ()>>,
+}
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        ACTIVE.store(false, Ordering::SeqCst);
+        // Every update leaves the slot valid, so a poisoned lock is safe
+        // to reuse (and `drop` must not panic).
+        *SINK.lock().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+}
+
+fn lock_session() -> MutexGuard<'static, ()> {
+    // A poisoned lock only means a session's owner panicked; its guard
+    // still uninstalled on the way out.
+    SESSION.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Installs a recording sink and starts a fresh tid epoch, waiting until
+/// no other session is installed. The sink stays installed until the
+/// returned guard drops.
+pub fn install(sink: Arc<dyn TraceSink>) -> Installed {
+    install_in(lock_session(), sink)
+}
+
+fn install_in(session: MutexGuard<'static, ()>, sink: Arc<dyn TraceSink>) -> Installed {
     let mut slot = SINK.lock().unwrap();
     EPOCH.fetch_add(1, Ordering::SeqCst);
     NEXT_TID.store(0, Ordering::SeqCst);
     *slot = Some(sink);
     ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Uninstalls the active sink (idempotent).
-pub fn uninstall() {
-    ACTIVE.store(false, Ordering::SeqCst);
-    *SINK.lock().unwrap() = None;
+    Installed { _session: Some(session) }
 }
 
 /// Whether a recorder is currently installed.
@@ -266,6 +316,9 @@ pub fn emit(make: impl FnOnce() -> TraceEvent) {
 
 #[cold]
 fn emit_slow(event: TraceEvent) {
+    if MUTED.with(Cell::get) {
+        return;
+    }
     let epoch = EPOCH.load(Ordering::SeqCst);
     let tid = TID.with(|slot| {
         let (e, t) = slot.get();
@@ -295,20 +348,28 @@ mod tests {
         }
     }
 
+    impl Installed {
+        /// Uninstalls the sink but keeps the session lock, so a test
+        /// can observe the idle state without another session starting.
+        fn into_session(mut self) -> MutexGuard<'static, ()> {
+            self._session.take().expect("held until drop")
+        }
+    }
+
     #[test]
     fn emit_is_gated_and_tids_are_dense_per_session() {
-        uninstall();
+        let session = lock_session();
         emit(|| panic!("must not run while inactive"));
 
         let sink = Arc::new(Collect(Mutex::new(Vec::new())));
-        install(sink.clone());
+        let installed = install_in(session, sink.clone());
         emit(|| TraceEvent::Sweep { swept: 1, pinned: 0 });
         std::thread::spawn(|| {
             emit(|| TraceEvent::Sweep { swept: 2, pinned: 0 });
         })
         .join()
         .unwrap();
-        uninstall();
+        let _session = installed.into_session();
         emit(|| panic!("must not run after uninstall"));
 
         let events = sink.0.lock().unwrap();
@@ -319,13 +380,28 @@ mod tests {
     }
 
     #[test]
+    fn muted_threads_stay_out_of_the_session() {
+        let sink = Arc::new(Collect(Mutex::new(Vec::new())));
+        let installed = install(sink.clone());
+        {
+            let _muted = mute();
+            emit(|| TraceEvent::Sweep { swept: 1, pinned: 0 });
+        }
+        emit(|| TraceEvent::Sweep { swept: 2, pinned: 0 });
+        drop(installed);
+        let events = sink.0.lock().unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].1, TraceEvent::Sweep { swept: 2, pinned: 0 });
+    }
+
+    #[test]
     fn reinstall_restarts_the_tid_epoch() {
         let sink = Arc::new(Collect(Mutex::new(Vec::new())));
-        install(sink.clone());
+        let installed = install(sink.clone());
         emit(|| TraceEvent::Sweep { swept: 0, pinned: 0 });
-        install(sink.clone());
+        let installed = install_in(installed.into_session(), sink.clone());
         emit(|| TraceEvent::Sweep { swept: 0, pinned: 0 });
-        uninstall();
+        drop(installed);
         let events = sink.0.lock().unwrap();
         assert_eq!(events[0].0, 0);
         assert_eq!(events[1].0, 0, "same thread is tid 0 again after reinstall");

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use jni_rt::{JniEnv, NativeKind, ReleaseMode};
 use mte_sim::inject::{self, FaultPlan, InjectCounters};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use telemetry::trace::{self, TraceEvent, TraceSink};
 
 use crate::codec::{Trace, TraceHeader, TraceRecord};
@@ -48,29 +48,24 @@ impl TraceSink for Recorder {
     }
 }
 
-/// Serializes recording sessions: the trace sink is process-wide, so two
-/// concurrent sessions would interleave their streams.
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
-
 /// RAII recording session: installs a fresh [`Recorder`] as the global
 /// trace sink on construction, uninstalls it on [`finish`] (or drop).
-/// Holding the session also holds a process-wide lock, so concurrent
-/// tests cannot contaminate each other's traces.
+/// Holding the session holds the trace module's session lock, so
+/// concurrent tests cannot contaminate each other's traces.
 ///
 /// [`finish`]: RecordingSession::finish
 pub struct RecordingSession {
     recorder: Arc<Recorder>,
-    _guard: MutexGuard<'static, ()>,
+    _installed: trace::Installed,
 }
 
 impl RecordingSession {
     /// Starts recording: every traced runtime event from any thread now
     /// lands in this session.
     pub fn start() -> RecordingSession {
-        let guard = SESSION_LOCK.lock();
         let recorder = Arc::new(Recorder::default());
-        trace::install(recorder.clone());
-        RecordingSession { recorder, _guard: guard }
+        let installed = trace::install(recorder.clone());
+        RecordingSession { recorder, _installed: installed }
     }
 
     /// The live recorder (for mid-session inspection).
@@ -80,14 +75,9 @@ impl RecordingSession {
 
     /// Stops recording and packages the captured stream under `header`.
     pub fn finish(self, header: TraceHeader) -> Trace {
-        trace::uninstall();
-        Trace { header, events: self.recorder.take() }
-    }
-}
-
-impl Drop for RecordingSession {
-    fn drop(&mut self) {
-        trace::uninstall();
+        let RecordingSession { recorder, _installed } = self;
+        drop(_installed);
+        Trace { header, events: recorder.take() }
     }
 }
 
