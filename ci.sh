@@ -29,6 +29,19 @@ for run in 1 2 3 4 5; do
 done
 echo "workspace suite green 5 runs in a row"
 
+echo "== pin vs compaction race (release, 20 runs) =="
+# Pins take no world-gate hold; a compaction pass freezes the pin ledger
+# instead (DESIGN.md §11). The race only shows under some interleavings,
+# so the test gets 20 runs, and any failing run fails CI.
+for run in $(seq 1 20); do
+    if ! cargo test --release --offline -q -p art-heap --test pin_race >"$out/pin_race.log" 2>&1; then
+        cat "$out/pin_race.log"
+        echo "pin race test failed on run $run of 20"
+        exit 1
+    fi
+done
+echo "pin race test green 20 runs in a row"
+
 echo "== clippy =="
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -151,9 +151,10 @@ struct HeapInner {
     /// Natively-borrowed objects: never swept, never moved.
     pins: PinLedger,
     /// The stop-the-world gate for the compacting collector: object
-    /// relocation holds it exclusively; payload accessors and pin
-    /// insertion hold it shared (recursively — an accessor may nest
-    /// inside another gated section on the same thread).
+    /// relocation holds it exclusively; payload accessors hold it shared
+    /// (recursively — an accessor may nest inside another gated section
+    /// on the same thread). Pins do not take it; a pass freezes the pin
+    /// ledger instead, and a pin that meets the freeze waits here.
     world: WorldGate,
     /// Notified for each moved object so protection schemes can rehome
     /// tag-table entries keyed by payload address.
@@ -478,10 +479,9 @@ impl Heap {
     /// [`Heap::compact`] never moves the object — even after the last Java
     /// handle dies mid-borrow.
     pub fn pin(&self, obj: &ObjectRef) -> u32 {
-        // Shared world-gate hold: a pin can never land on an address the
-        // collector is concurrently rewriting.
-        let _gate = self.inner.world.read_recursive();
-        self.inner.pins.pin(&obj.token)
+        // No world-gate hold: a compaction pass freezes the ledger, and
+        // only a pin that meets the freeze waits on the gate.
+        self.inner.pins.pin(&obj.token, &self.inner.world)
     }
 
     /// Drops one pin from the object at header address `addr`, returning
@@ -633,17 +633,23 @@ impl Heap {
     /// immovable obstacles, exactly like ART's critical-section pinning.
     ///
     /// Runs stop-the-world: payload accessors block on the world gate for
-    /// the duration.
+    /// the duration, and pins, which meet the frozen pin ledger, wait
+    /// there too.
     pub fn compact(&self) -> CompactStats {
         let timing = telemetry::start_timing();
         let t0 = std::time::Instant::now();
         let world = self.inner.world.write();
+        // Freeze the pin ledger before the first `is_pinned` below: a pin
+        // that reaches its shard after this pass looked there sees the
+        // flag and waits on the gate, so the pinned set only shrinks
+        // until the pass ends.
+        let frozen = self.inner.pins.freeze();
         // With the world stopped, notify the protection scheme before
         // anything moves: every unpinned object is a move (or reclaim)
         // candidate, and any table entry still tracking one — abandoned,
         // since pinning is what a live borrow implies — must be retired
         // before its address is re-tagged or handed to another object.
-        // No mutator can pin while the exclusive hold lasts, so the
+        // No mutator can pin while the ledger is frozen, so the
         // candidate set is stable.
         let safepoint = self.inner.safepoint_hook.lock().clone();
         if let Some(safepoint) = safepoint {
@@ -799,6 +805,7 @@ impl Heap {
                 hook(old, new);
             }
         }
+        drop(frozen);
         drop(world);
         stats.pause = t0.elapsed();
         self.inner

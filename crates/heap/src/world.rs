@@ -15,10 +15,16 @@ use std::sync::{Condvar, Mutex, PoisonError};
 struct State {
     readers: usize,
     writer: bool,
+    /// Writers blocked in [`WorldGate::write`]. The last reader out
+    /// notifies only when this is nonzero: a `notify_all` costs a
+    /// futex syscall even with nobody waiting, and every payload
+    /// access, allocation and sweep ends with a reader leaving.
+    waiting_writers: usize,
 }
 
-/// The gate. Shared holds = mutator payload accesses and pins;
-/// the exclusive hold = a compaction pass.
+/// The gate. Shared holds = mutator payload accesses, allocations,
+/// sweeps, and pins that met a frozen ledger; the exclusive hold = a
+/// compaction pass.
 #[derive(Default)]
 pub(crate) struct WorldGate {
     state: Mutex<State>,
@@ -44,12 +50,14 @@ impl WorldGate {
     /// released.
     pub(crate) fn write(&self) -> WriteGuard<'_> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.waiting_writers += 1;
         while state.readers > 0 || state.writer {
             state = self
                 .cond
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        state.waiting_writers -= 1;
         state.writer = true;
         WriteGuard { gate: self }
     }
@@ -68,7 +76,7 @@ impl Drop for ReadGuard<'_> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         state.readers -= 1;
-        if state.readers == 0 {
+        if state.readers == 0 && state.waiting_writers > 0 {
             self.gate.cond.notify_all();
         }
     }

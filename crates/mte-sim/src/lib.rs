@@ -58,6 +58,7 @@ mod memory;
 mod nalloc;
 mod pointer;
 pub mod reference;
+pub mod shard;
 mod stats;
 pub mod sync;
 mod tag;

@@ -1,39 +1,12 @@
 //! Operation counters for experiments and tests.
 
-use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counter shards per [`MteStats`]. Threads are assigned round-robin,
-/// so up to this many concurrent threads never share a cache line.
-const SHARDS: usize = 16;
+use crate::shard::Sharded;
 
-/// Next shard to hand out; only spreads threads, so its value never
-/// reaches a count or a decision.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's shard index, assigned on its first count.
-    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-#[inline]
-fn shard_index() -> usize {
-    SHARD.with(|s| {
-        let i = s.get();
-        if i != usize::MAX {
-            return i;
-        }
-        let i = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        s.set(i);
-        i
-    })
-}
-
-/// One thread group's counters, padded to two cache lines so adjacent
-/// shards never share one (nor an adjacent-line prefetch pair).
+/// One thread group's counters.
 #[derive(Default)]
-#[repr(align(128))]
 struct Shard {
     loads: AtomicU64,
     stores: AtomicU64,
@@ -62,13 +35,13 @@ struct Shard {
 /// [`TaggedMemory`]: crate::TaggedMemory
 #[derive(Default)]
 pub struct MteStats {
-    shards: [Shard; SHARDS],
+    shards: Sharded<Shard>,
 }
 
 impl MteStats {
     #[inline]
     fn shard(&self) -> &Shard {
-        &self.shards[shard_index()]
+        self.shards.local()
     }
     #[inline]
     pub(crate) fn count_load(&self) {
@@ -101,7 +74,7 @@ impl MteStats {
     /// every thread's shard.
     pub fn snapshot(&self) -> MteStatsSnapshot {
         let mut s = MteStatsSnapshot::default();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             s.loads += shard.loads.load(Ordering::Relaxed);
             s.stores += shard.stores.load(Ordering::Relaxed);
             s.sync_faults += shard.sync_faults.load(Ordering::Relaxed);
@@ -165,6 +138,7 @@ impl MteStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::SHARDS;
 
     #[test]
     fn snapshot_reflects_counts() {

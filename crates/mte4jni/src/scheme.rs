@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use art_heap::{HeapConfig, ObjectRef, Safepoint};
 use jni_rt::{AcquireOutcome, JniContext, Protection, ReleaseMode, Vm};
+use mte_sim::shard::Sharded;
 use mte_sim::{TaggedMemory, TaggedPtr, TcfMode};
 
 use crate::table::{Borrow, Release, ReleaseFailure, ReleaseOutcome, TableBackend, TableConfig, TagTable};
@@ -38,6 +39,16 @@ fn take_borrow(scheme: u64, raw: u64) -> Option<Borrow> {
     })
 }
 
+/// The funnel counters every `Get*`/`Release*` bumps, one set per
+/// thread shard so concurrent calls never share their cache line.
+#[derive(Default)]
+struct FunnelCounts {
+    acquires: AtomicU64,
+    shared_acquires: AtomicU64,
+    releases: AtomicU64,
+    tag_frees: AtomicU64,
+}
+
 /// The MTE4JNI protection scheme.
 ///
 /// `Get*` tags the object's payload and returns a tagged pointer;
@@ -49,10 +60,7 @@ pub struct Mte4Jni {
     table: Box<dyn TagTable>,
     /// This instance's key in the per-thread borrow cache.
     id: u64,
-    acquires: AtomicU64,
-    shared_acquires: AtomicU64,
-    releases: AtomicU64,
-    tag_frees: AtomicU64,
+    funnel: Sharded<FunnelCounts>,
     rehomes: AtomicU64,
     safepoint_frees: AtomicU64,
 }
@@ -70,10 +78,7 @@ impl Mte4Jni {
             config,
             table: config.build(),
             id: NEXT_SCHEME_ID.fetch_add(1, Ordering::Relaxed),
-            acquires: AtomicU64::new(0),
-            shared_acquires: AtomicU64::new(0),
-            releases: AtomicU64::new(0),
-            tag_frees: AtomicU64::new(0),
+            funnel: Sharded::default(),
             rehomes: AtomicU64::new(0),
             safepoint_frees: AtomicU64::new(0),
         }
@@ -84,15 +89,28 @@ impl Mte4Jni {
         &*self.table
     }
 
-    /// Operation counters.
+    /// Operation counters; the funnel counts sum every thread shard.
     pub fn stats(&self) -> Mte4JniStats {
-        Mte4JniStats {
-            acquires: self.acquires.load(Ordering::Relaxed),
-            shared_acquires: self.shared_acquires.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            tag_frees: self.tag_frees.load(Ordering::Relaxed),
+        let mut s = Mte4JniStats {
             rehomes: self.rehomes.load(Ordering::Relaxed),
             tracked_objects: self.table.tracked_objects(),
+            ..Mte4JniStats::default()
+        };
+        for c in self.funnel.iter() {
+            s.acquires += c.acquires.load(Ordering::Relaxed);
+            s.shared_acquires += c.shared_acquires.load(Ordering::Relaxed);
+            s.releases += c.releases.load(Ordering::Relaxed);
+            s.tag_frees += c.tag_frees.load(Ordering::Relaxed);
+        }
+        s
+    }
+
+    /// Counts one completed release.
+    fn count_release(&self, freed: bool) {
+        let c = self.funnel.local();
+        c.releases.fetch_add(1, Ordering::Relaxed);
+        if freed {
+            c.tag_frees.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -136,9 +154,10 @@ impl Protection for Mte4Jni {
         let borrow = self
             .table
             .acquire(cx.heap.memory(), cx.thread.mte(), begin, end)?;
-        self.acquires.fetch_add(1, Ordering::Relaxed);
+        let c = self.funnel.local();
+        c.acquires.fetch_add(1, Ordering::Relaxed);
         if borrow.shared() {
-            self.shared_acquires.fetch_add(1, Ordering::Relaxed);
+            c.shared_acquires.fetch_add(1, Ordering::Relaxed);
         }
         let ptr = begin.with_tag(borrow.tag());
         cache_borrow(self.id, ptr.raw(), borrow);
@@ -164,10 +183,7 @@ impl Protection for Mte4Jni {
         if let Some(borrow) = take_borrow(self.id, ptr.raw()) {
             match self.table.release(cx.heap.memory(), borrow) {
                 Ok(outcome) => {
-                    self.releases.fetch_add(1, Ordering::Relaxed);
-                    if outcome == Release::Freed {
-                        self.tag_frees.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.count_release(outcome == Release::Freed);
                     return Ok(());
                 }
                 Err(e) => match e.kind {
@@ -190,10 +206,7 @@ impl Protection for Mte4Jni {
         // Raw escape hatch: no token (cross-layer force-release) or the
         // token no longer matches the entry.
         let outcome = self.table.release_raw(cx.heap.memory(), begin, end)?;
-        self.releases.fetch_add(1, Ordering::Relaxed);
-        if outcome == ReleaseOutcome::Freed {
-            self.tag_frees.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count_release(outcome == ReleaseOutcome::Freed);
         Ok(())
     }
 
